@@ -9,6 +9,7 @@ package parallex_test
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,8 +55,9 @@ func startBalanceMachine(t *testing.T) []*parallex.Runtime {
 			Register: func(rt *parallex.Runtime) {
 				rt.MustRegisterAction("bal.bump", func(ctx *parallex.Context, target any, args *parallex.ArgsReader) (any, error) {
 					v := target.([]int64)
-					v[0]++
-					return v[0], nil
+					// Calls from several senders run concurrently on one
+					// object: the increment must be atomic.
+					return atomic.AddInt64(&v[0], 1), nil
 				})
 			},
 		})

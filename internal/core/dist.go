@@ -17,9 +17,9 @@ import (
 // Distributed frame types. Every transport frame begins with one type
 // byte. All kinds — including migration payloads — ride the transport's
 // group-commit batching: a MIGRATE frame posted while a parcel batch's
-// write is in flight simply joins the next batch.
+// write is in flight simply joins the next batch. Kind 1, the retired
+// string-form parcel, stays unassigned.
 const (
-	fParcel     = byte(1)  // encoded parcel
 	fAck        = byte(2)  // per-parcel receipt; releases the sender's work unit
 	fDrain      = byte(3)  // quiescence probe: u64 seq
 	fDrainReply = byte(4)  // probe answer: u64 seq | i64 pending | u64 sent | u64 recv
@@ -62,18 +62,18 @@ type distState struct {
 
 	// peerTab is the per-peer lane state: parcel counters, the
 	// sent-but-unacked count whose work units a death must release,
-	// capability bits from the peer's hello, liveness, and the phi
-	// detector. It grows copy-on-write as nodes join.
+	// membership status, liveness, and the phi detector. It grows
+	// copy-on-write as nodes join.
 	peerTab atomic.Pointer[[]*peerState]
 	growMu  sync.Mutex
 
-	// mb is the membership protocol state; nil when membership is off
-	// (fixed machine, or the transport cannot grow).
+	// mb is the membership protocol state; nil when the transport cannot
+	// grow (it is not a transport.MemberTransport).
 	mb *memberState
 
 	// intern carries the per-peer action tables; internedSent/internedRecv
-	// count fParcelI traffic (observability, and the mixed-mode tests'
-	// assertion that interning actually engaged).
+	// count fParcelI traffic (observability, and the tests' assertion
+	// that interned frames flow both ways).
 	intern       *internState
 	internedSent atomic.Uint64
 	internedRecv atomic.Uint64
@@ -150,6 +150,9 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 		tab[i] = &peerState{}
 	}
 	d.peerTab.Store(&tab)
+	// New re-announces the full registry once Register has run; this
+	// builtin prefix only keeps the encode table non-nil until then.
+	d.intern.announce(r.acts.snapshot())
 	return d
 }
 
@@ -177,11 +180,9 @@ func (d *distState) onFrame(from int, frame []byte) {
 		ps.lastFrame.Store(time.Now().UnixNano())
 	}
 	switch frame[0] {
-	case fParcel:
-		d.onParcel(from, frame[1:], false)
 	case fParcelI:
 		d.internedRecv.Add(1)
-		d.onParcel(from, frame[1:], true)
+		d.onParcel(from, frame[1:])
 	case fAck:
 		d.onAck(from)
 	case fAckMoved:
@@ -264,23 +265,16 @@ func (d *distState) onAck(from int) {
 // The parcel decodes into a pooled value that owns its bytes (body is the
 // transport's reused read buffer); ownership then flows down the delivery
 // path, which releases it when dispatch completes.
-func (d *distState) onParcel(from int, body []byte, interned bool) {
+func (d *distState) onParcel(from int, body []byte) {
 	d.recv.Add(1)
 	if ps := d.ensurePeer(from); ps != nil {
 		ps.recv.Add(1)
 	}
-	var p *parcel.Parcel
-	var rest []byte
-	var err error
-	if interned {
-		p, rest, err = parcel.DecodePooledInterned(body, d.decodeTableFor(from))
-	} else {
-		p, rest, err = parcel.DecodePooled(body)
-	}
+	p, rest, err := parcel.DecodePooledInterned(body, d.decodeTableFor(from))
 	if err == nil && len(rest) == parcel.TraceWireSize {
-		// A trace-capable peer appended the fixed-size trace trailer (we
-		// announced the capability, or it would not have). The length is
-		// unambiguous: the base wire form never leaves trailing bytes.
+		// A sampled parcel carries the fixed-size trace trailer. The
+		// length is unambiguous: the base wire form never leaves trailing
+		// bytes.
 		p.Trace, rest, err = parcel.DecodeTrace(rest)
 	}
 	if err == nil && len(rest) != 0 {
@@ -300,9 +294,6 @@ func (d *distState) onParcel(from int, body []byte, interned bool) {
 		parcel.Release(p)
 		d.rt.recordError(fmt.Errorf("core: bad parcel frame from node %d: %w", from, err))
 		return
-	}
-	if d.rt.ring != nil {
-		d.rt.ring.Emitf(trace.KindParcelRecv, d.home, "from N%d %s", from, p)
 	}
 	d.rt.emitSpan(trace.SpanWireRecv, d.home, &p.Trace, p.Action)
 	d.deliver(p, owner, rerr)
@@ -341,15 +332,6 @@ func (d *distState) deliver(p *parcel.Parcel, owner int, err error) {
 		return
 	}
 	r.enqueue(owner, p)
-}
-
-// tracedPeer reports whether node's hello announced the trace-context
-// capability (false until its hello arrives — the first frames of a
-// connection race the handshake only on transports without hello support,
-// where the capability never engages at all).
-func (d *distState) tracedPeer(node int) bool {
-	ps := d.peer(node)
-	return ps != nil && ps.traced.Load()
 }
 
 // sendRetry delivers a frame, retrying once: a Send error means
@@ -450,13 +432,20 @@ func (d *distState) onMovedVerdict(body []byte) {
 	d.rt.agas.Repoint(g, owner, gen)
 }
 
-// sendParcel ships p to node, interned when the peer understands it. The
-// caller's work unit for p stays charged until the peer acknowledges; on
+// sendParcel ships p to node in the interned wire form. The caller's
+// work unit for p stays charged until the peer acknowledges; on
 // transport failure the parcel fails locally (parcels are at-most-once,
 // as on the modelled network). sendParcel consumes p: the encode buffer
 // returns to its pool once the transport has taken the bytes, and the
 // parcel itself is released unless it was recycled into the failure path.
 func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
+	if !p.InternEncodable() {
+		// Only a name longer than MaxInternString fails the interned form,
+		// and registration refuses such names, so the peer could only fail
+		// the parcel as an unknown action: fail it here the same way.
+		d.rt.deliverFailure(src, p, fmt.Errorf("core: unknown action %q", oversizedAction(p)))
+		return
+	}
 	ps := d.ensurePeer(node)
 	if ps == nil {
 		d.rt.deliverFailure(src, p, fmt.Errorf("core: node %d outside machine: %w", node, agas.ErrUnknown))
@@ -478,18 +467,10 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	// it as the receiving hop's parent.
 	d.rt.emitSpan(trace.SpanWireSend, src, &p.Trace, p.Action)
 	w := parcel.GetWire()
-	// A name too long for the interned form (necessarily unregistered —
-	// the peer will fail the parcel gracefully) rides the plain format,
-	// which every node understands.
-	if t := d.encodeTableFor(node); t != nil && p.InternEncodable() {
-		w.B = append(w.B, fParcelI)
-		w.B = p.EncodeInterned(w.B, t)
-		d.internedSent.Add(1)
-	} else {
-		w.B = append(w.B, fParcel)
-		w.B = p.Encode(w.B)
-	}
-	if !p.Trace.Zero() && d.tracedPeer(node) {
+	w.B = append(w.B, fParcelI)
+	w.B = p.EncodeInterned(w.B, d.intern.our.Load())
+	d.internedSent.Add(1)
+	if !p.Trace.Zero() {
 		w.B = p.Trace.Append(w.B)
 	}
 	d.sent.Add(1)
@@ -522,6 +503,20 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	}
 	parcel.Release(p)
 	d.rt.slow.ParcelsSent.Inc()
+}
+
+// oversizedAction names the first action reference of p too long for the
+// interned wire form.
+func oversizedAction(p *parcel.Parcel) string {
+	if len(p.Action) > parcel.MaxInternString {
+		return p.Action
+	}
+	for _, c := range p.Cont {
+		if len(c.Action) > parcel.MaxInternString {
+			return c.Action
+		}
+	}
+	return p.Action
 }
 
 // migrateRPCTimeout bounds how long a migration waits for a peer's
@@ -661,9 +656,6 @@ func (d *distState) onMigrate(from int, body []byte) {
 		// The sender just placed this object here: the local balancer
 		// defers to that decision for a cooldown before re-judging it.
 		d.rt.coolBalance(g)
-		if d.rt.ring != nil {
-			d.rt.ring.Emitf(trace.KindMigration, to, "installed %v gen %d from N%d", g, gen, from)
-		}
 		return nil
 	}
 	d.replyOutcome(from, fMigrateOK, xid, install())

@@ -47,8 +47,7 @@ const (
 // the MaxHops bound survives a trigger being re-shipped node to node
 // while it chases a migrating target. A nonzero trace context appends the
 // fixed-size trailer after the value; vlen makes the frame self-
-// describing, but callers still gate the trailer on the peer's announced
-// trace capability — older decoders reject frames with trailing bytes.
+// describing.
 func encodeLCOTrigger(kind byte, tid uint64, op TrigOp, slot uint32, hops int, g agas.GID, value []byte, tc parcel.TraceCtx) []byte {
 	frame := make([]byte, 0, 1+8+1+agas.GIDSize+4+4+4+len(value)+parcel.TraceWireSize)
 	frame = append(frame, kind)
@@ -152,8 +151,7 @@ func (r *Runtime) LCOTriggerStats() (sent, recv, retried uint64) {
 // fLCOSet (an inbound trigger); the receive path treats both identically.
 // hops is the forwarding budget already spent (0 for a fresh trigger).
 // tc is the trace context the trigger rides for (zero for untraced
-// triggers); it crosses the wire only when the peer announced the trace
-// capability, and retransmissions reuse the encoded frame verbatim.
+// triggers); retransmissions reuse the encoded frame verbatim.
 func (d *distState) sendLCOTrigger(node int, tid uint64, op TrigOp, slot uint32, hops int, g agas.GID, value []byte, fired bool, tc parcel.TraceCtx) {
 	kind := fLCOSet
 	if fired {
@@ -164,9 +162,6 @@ func (d *distState) sendLCOTrigger(node int, tid uint64, op TrigOp, slot uint32,
 		// the void would pin a work unit until the give-up bound. Fail now.
 		d.rt.recordError(fmt.Errorf("core: LCO trigger %d to node %d: %w", tid, node, agas.ErrNodeLost))
 		return
-	}
-	if !d.tracedPeer(node) {
-		tc = parcel.TraceCtx{}
 	}
 	d.rt.emitSpan(trace.SpanWireSend, d.home, &tc, ActionLCOTrigger)
 	frame := encodeLCOTrigger(kind, tid, op, slot, hops, g, value, tc)

@@ -14,19 +14,14 @@ import (
 )
 
 // MembershipConfig tunes elastic membership and failure detection. The
-// subsystem is on by default whenever the transport supports it (it
-// implements transport.MemberTransport, i.e. the machine can grow): each
+// subsystem is on whenever the transport supports it (it implements
+// transport.MemberTransport, i.e. the machine can grow): each
 // node beats every HeartbeatInterval, feeds peers' beats into per-peer
 // phi-accrual detectors, and declares a peer dead when its accrued
 // suspicion crosses SuspectThreshold AND it has been silent for at least
 // DeadAfter — the hard floor rides out scheduler stalls that pure phi
 // would misread on loaded CI machines.
 type MembershipConfig struct {
-	// Disable turns membership off even on a capable transport: the node
-	// neither beats nor monitors, and announces no membership support in
-	// its handshake hello (peers then treat it as a fixed, unmonitored
-	// member — the degraded old-protocol mode).
-	Disable bool
 	// HeartbeatInterval is the beat period (default 250ms).
 	HeartbeatInterval time.Duration
 	// SuspectThreshold is the phi value at which a peer becomes deathly
@@ -79,7 +74,6 @@ type peerState struct {
 	dead     atomic.Bool  // declared dead (written under mu)
 	member   atomic.Bool  // peer announced membership support (beats expected)
 	departed atomic.Bool  // peer said goodbye: clean shutdown, not a death
-	traced   atomic.Bool  // peer accepts trace-context trailers
 	det      atomic.Pointer[transport.PhiDetector]
 
 	// lastFrame is the wall-clock nanosecond of the last frame of ANY kind
@@ -211,9 +205,7 @@ func (m *memberState) stopLoop() {
 // Beats are deliberately NOT gated on the peer having announced
 // membership: the transport dials lazily, hellos ride the connection
 // handshake, and on an otherwise idle machine the first beat is what
-// forces the dial that exchanges them. A membership-disabled peer
-// absorbs the frame harmlessly (its frame handler understands fBeat; it
-// just runs no detector loop of its own).
+// forces the dial that exchanges them.
 func (m *memberState) beat() {
 	d := m.d
 	frame := encodeBeat(d.lmap.Fingerprint())
@@ -360,8 +352,8 @@ func (m *memberState) excommunicate() {
 	d.rt.recordError(fmt.Errorf("core: this node was declared dead by the machine: %w", agas.ErrNodeLost))
 }
 
-// onBeat handles a heartbeat frame: proof of life plus membership
-// capability for the sender.
+// onBeat handles a heartbeat frame: proof of life, and proof that the
+// sender runs membership.
 func (d *distState) onBeat(from int, body []byte) {
 	if _, ok := decodeBeat(body); !ok {
 		d.rt.recordError(fmt.Errorf("core: corrupt beat frame from node %d", from))
@@ -393,8 +385,8 @@ func (d *distState) onDead(from int, body []byte) {
 }
 
 // onMemberHello admits a peer's membership announcement, carried in the
-// connection handshake hello. For a known node it only records
-// capability; for an unknown node it is a join: the transport learns the
+// connection handshake hello. For a known node it only records that the
+// peer runs membership; for an unknown node it is a join: the transport learns the
 // joiner's dial address, the membership map grows (verifying the
 // announced range continues the partition), and AGAS grows its directory
 // and cache to cover the new localities. Join admission is serialized and

@@ -7,7 +7,6 @@ import (
 	"repro/internal/agas"
 	"repro/internal/lco"
 	"repro/internal/parcel"
-	"repro/internal/trace"
 )
 
 // NewObjectAt installs v as a globally named object of the given kind on
@@ -131,9 +130,6 @@ func (r *Runtime) Migrate(g agas.GID, to int) error {
 	r.fences.close(g)
 	err = r.migrateLocked(g, from, to, gen+1)
 	for _, pk := range r.fences.open(g) {
-		if r.ring != nil {
-			r.ring.Emitf(trace.KindMigration, pk.loc, "unpark %s", pk.p)
-		}
 		r.route(pk.loc, pk.p)
 	}
 	return err
@@ -194,9 +190,6 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 		r.agas.SetForward(g, to, newGen)
 	}
 	r.agas.Repoint(g, to, newGen)
-	if r.ring != nil {
-		r.ring.Emitf(trace.KindMigration, from, "%v -> L%d gen %d", g, to, newGen)
-	}
 	r.slow.Migrations.Inc()
 	// A move that stayed on this node lands under a local balancer
 	// cooldown, exactly as a cross-node arrival does on its receiver:

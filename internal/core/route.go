@@ -42,9 +42,6 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 	}
 	if owner == src {
 		r.slow.ParcelsLocal.Inc()
-		if r.ring != nil {
-			r.ring.Emitf(trace.KindParcelSend, src, "local %s", p)
-		}
 		r.enqueue(owner, p)
 		return
 	}
@@ -58,9 +55,6 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 			// The owner lives in another process: the parcel crosses the
 			// real network in wire form. The work unit charged by SendFrom
 			// stays held until the peer acknowledges the frame.
-			if r.ring != nil {
-				r.ring.Emitf(trace.KindParcelSend, src, "to node %d %s", node, p)
-			}
 			if p.Action == ActionLCOTrigger && len(p.Cont) == 0 {
 				// Identified triggers never ride at-most-once parcels over
 				// the wire: re-ship as an acknowledged LCO frame so the
@@ -77,9 +71,6 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 		}
 	}
 	r.slow.ParcelsSent.Inc()
-	if r.ring != nil {
-		r.ring.Emitf(trace.KindParcelSend, src, "to L%d %s", owner, p)
-	}
 	size := len(p.Args)
 	var w *parcel.WireBuf
 	var tbl *actionSet
@@ -140,7 +131,7 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 	}
 	// Duplicates of an unserialized parcel: deep-clone BEFORE the original
 	// is dispatched — a pooled original can be executed, released, and
-	// recycled the moment deliverDirect hands it over, so copying its
+	// recycled the moment enqueue hands it over, so copying its
 	// fields afterwards would read another parcel's data. Each clone is
 	// plain garbage-collected memory (Release ignores it) with its own
 	// continuation stack, so the executions cannot race on one.
@@ -157,10 +148,10 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 			dp = dups[c-1]
 		}
 		if lat <= 0 {
-			r.deliverDirect(owner, dp)
+			r.enqueue(owner, dp)
 			continue
 		}
-		time.AfterFunc(lat, func() { r.deliverDirect(owner, dp) })
+		time.AfterFunc(lat, func() { r.enqueue(owner, dp) })
 	}
 }
 
@@ -184,14 +175,6 @@ func (r *Runtime) deliverWire(src, owner int, p *parcel.Parcel, w *parcel.WireBu
 	// crosses by field copy (both ends are this runtime).
 	dp.Trace = p.Trace
 	parcel.Release(p)
-	r.deliverDirect(owner, dp)
-}
-
-// deliverDirect hands an owned parcel to its destination locality.
-func (r *Runtime) deliverDirect(owner int, dp *parcel.Parcel) {
-	if r.ring != nil {
-		r.ring.Emitf(trace.KindParcelRecv, owner, "%s", dp)
-	}
 	r.enqueue(owner, dp)
 }
 
@@ -236,7 +219,7 @@ func (d *wireDelivery) deliverOne() {
 	if last {
 		parcel.Release(d.p)
 	}
-	d.r.deliverDirect(d.owner, dp)
+	d.r.enqueue(d.owner, dp)
 }
 
 // execTask is the pooled unit posted to a locality for one parcel
@@ -285,11 +268,19 @@ func (r *Runtime) enqueue(loc int, p *parcel.Parcel) {
 	if b := r.bal; b != nil && p.Dest.Kind != agas.KindHardware {
 		b.sampler.Record(p.Dest, loc)
 	}
+	l := r.loc(loc)
+	if l == nil {
+		// A peer's death re-homed loc onto this node: the map is published
+		// before the adoption subscriber installs the machinery, so a
+		// parcel can land in between. Adoption is idempotent; do it now.
+		r.adoptLocalities([]int{loc})
+		l = r.loc(loc)
+	}
 	t := execTaskPool.Get().(*execTask)
 	t.r, t.loc, t.p = r, loc, p
 	if r.sheddable != nil {
 		if _, shed := r.sheddable[p.Action]; shed {
-			if err := r.loc(loc).PostAdmitted(int(p.Dest.Seq), t.run); err != nil {
+			if err := l.PostAdmitted(int(p.Dest.Seq), t.run); err != nil {
 				t.r, t.p = nil, nil
 				execTaskPool.Put(t)
 				if !errors.Is(err, locality.ErrOverloaded) {
@@ -300,7 +291,7 @@ func (r *Runtime) enqueue(loc int, p *parcel.Parcel) {
 			return
 		}
 	}
-	r.mustPost(r.loc(loc).PostTo(int(p.Dest.Seq), t.run))
+	r.mustPost(l.PostTo(int(p.Dest.Seq), t.run))
 }
 
 // mustPost converts a locality post failure into a panic: the runtime
@@ -343,9 +334,6 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 			r.addWork()
 			r.slow.Parked.Inc()
 			r.emitSpan(trace.SpanPark, loc, &tc, action)
-			if r.ring != nil {
-				r.ring.Emitf(trace.KindMigration, loc, "parked %s", action)
-			}
 			return
 		}
 	}
@@ -429,9 +417,6 @@ func (r *Runtime) forward(loc int, p *parcel.Parcel) {
 	}
 	r.agas.Invalidate(loc, p.Dest)
 	r.emitSpan(trace.SpanMigrate, loc, &p.Trace, p.Action)
-	if r.ring != nil {
-		r.ring.Emitf(trace.KindMigration, loc, "forward hop %d %s", p.Hops, p)
-	}
 	r.addWork() // the new routing leg; our caller releases the old one
 	time.AfterFunc(time.Duration(p.Hops)*5*time.Microsecond, func() {
 		r.route(loc, p)
@@ -448,9 +433,6 @@ func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error) {
 		// A trigger toward an LCO that died with its node is equally
 		// terminal: the waiters registered against that node are failed by
 		// the membership layer, so the trigger itself has no one to tell.
-		if r.ring != nil {
-			r.ring.Emitf(trace.KindLCOTrigger, loc, "late trigger to freed target %s", p)
-		}
 		parcel.Release(p)
 		return
 	}

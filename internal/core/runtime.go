@@ -56,8 +56,6 @@ type Config struct {
 	// flattening — it rides as text inside the verdict message. Zero
 	// defaults to 2ms; negative omits the hint.
 	RetryAfterHint time.Duration
-	// TraceCapacity sizes the event ring; 0 disables tracing.
-	TraceCapacity int
 	// Faults optionally injects parcel loss/duplication (tests only). It
 	// applies to the modelled network path (cross-node parcels are not
 	// subject to it) and to cross-node LCO trigger frames — which survive
@@ -85,17 +83,9 @@ type Config struct {
 	// that delivery.
 	Register func(*Runtime)
 	// Membership tunes elastic membership and phi-accrual failure
-	// detection. The subsystem engages automatically when the transport
-	// can grow (it implements transport.MemberTransport) and carries
-	// handshake hellos; set Membership.Disable to opt out.
+	// detection. The subsystem engages whenever the transport can grow
+	// (it implements transport.MemberTransport).
 	Membership MembershipConfig
-	// DisableActionInterning keeps this node on the plain string wire form:
-	// it announces no action table and ignores the ones peers announce.
-	// Peers fall back to spelling action names out toward it, so a machine
-	// may freely mix interning and non-interning nodes. The default
-	// (interning on, when the transport supports handshake hellos) removes
-	// the per-parcel action-string allocation from the receive path.
-	DisableActionInterning bool
 
 	// BalanceInterval enables the adaptive self-balancer and sets its
 	// policy tick period: each tick the runtime drains the per-GID
@@ -131,10 +121,6 @@ type Config struct {
 	// TraceSpanCapacity bounds the in-memory span buffer (default 4096);
 	// when full, new spans are dropped and counted.
 	TraceSpanCapacity int
-	// DisableTraceContext keeps this node's wire frames free of the trace
-	// trailer: it announces no trace capability and receives none. Peers
-	// still interoperate; traces passing through degrade to local-only.
-	DisableTraceContext bool
 }
 
 func (c *Config) fill() {
@@ -164,7 +150,6 @@ type Runtime struct {
 	locs   []atomic.Pointer[locality.Locality]
 	agas   *agas.Service
 	net    network.Model
-	ring   *trace.Ring
 	slow   *metrics.SLOW
 	reg    *thread.Registry
 	acts   *actionRegistry
@@ -263,9 +248,6 @@ func New(cfg Config) *Runtime {
 		resident, _ = lmap.NodeRange(cfg.NodeID)
 	}
 	r.quietC = sync.NewCond(&r.quiet)
-	if cfg.TraceCapacity > 0 {
-		r.ring = trace.NewRing(cfg.TraceCapacity)
-	}
 	// Only resident localities get execution machinery; entries for
 	// localities hosted by other nodes stay nil and are reached by parcel
 	// (until a death re-homes them here — see adoptLocalities).
@@ -305,11 +287,8 @@ func New(cfg Config) *Runtime {
 		// machine-wide (see parcelTriggerID).
 		parcel.SetIDOrigin(uint16(cfg.NodeID) + 1)
 		r.dist = newDistState(r, cfg.Transport, cfg.NodeID, lmap)
-		// Membership engages when the transport can both grow (AddPeer)
-		// and carry the handshake hello that announces it.
-		_, canGrow := cfg.Transport.(transport.MemberTransport)
-		_, canHello := cfg.Transport.(transport.HelloTransport)
-		if canGrow && canHello && !cfg.Membership.Disable {
+		// Membership engages when the transport can grow (AddPeer).
+		if _, canGrow := cfg.Transport.(transport.MemberTransport); canGrow {
 			// The announced dial-back address: what a grown machine's
 			// peers use to reach a joiner.
 			addr := ""
@@ -339,27 +318,17 @@ func New(cfg Config) *Runtime {
 		cfg.Register(r)
 	}
 	if cfg.Transport != nil {
-		// Announce capabilities after Register has run (the interning
+		// Announce the hello after Register has run (the interning
 		// snapshot must cover the application's actions) and before Start
-		// (the hello rides every connection handshake). Transports without
-		// hello support announce nothing: peers speak plain, trailer-free
-		// frames toward them.
-		if ht, ok := cfg.Transport.(transport.HelloTransport); ok {
-			intern := !cfg.DisableActionInterning
-			traced := !cfg.DisableTraceContext
-			var mh *memberHello
-			if r.dist.mb != nil {
-				mh = &memberHello{node: cfg.NodeID, lo: resident.Lo, hi: resident.Hi, addr: r.dist.mb.selfAddr}
-			}
-			if intern || traced || mh != nil {
-				set := r.acts.snapshot()
-				if intern {
-					r.dist.intern.announce(set)
-				}
-				ht.SetHello(encodeHello(set.names, intern, traced, mh))
-				ht.SetHelloHandler(r.dist.onHello)
-			}
+		// (the hello rides every connection handshake).
+		var mh *memberHello
+		if r.dist.mb != nil {
+			mh = &memberHello{node: cfg.NodeID, lo: resident.Lo, hi: resident.Hi, addr: r.dist.mb.selfAddr}
 		}
+		set := r.acts.snapshot()
+		r.dist.intern.announce(set)
+		cfg.Transport.SetHello(encodeHello(set.names, mh))
+		cfg.Transport.SetHelloHandler(r.dist.onHello)
 		if err := cfg.Transport.Start(); err != nil {
 			panic(fmt.Sprintf("core: transport start: %v", err))
 		}
@@ -505,9 +474,6 @@ func (r *Runtime) SLOW() *metrics.SLOW { return r.slow }
 
 // Threads exposes the thread registry.
 func (r *Runtime) Threads() *thread.Registry { return r.reg }
-
-// Trace returns the event ring, or nil if tracing is disabled.
-func (r *Runtime) Trace() *trace.Ring { return r.ring }
 
 // Metrics exposes the named-metric registry (px.* names), suitable for
 // serving with pprofserve.ServeMetrics.

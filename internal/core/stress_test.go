@@ -11,6 +11,7 @@ import (
 	"repro/internal/agas"
 	"repro/internal/network"
 	"repro/internal/parcel"
+	"repro/internal/trace"
 )
 
 // Property: any randomly generated program of nested spawns, remote calls,
@@ -151,31 +152,17 @@ func TestPropertyMigrationStormDeliversAll(t *testing.T) {
 }
 
 func TestTraceRecordsParcelFlow(t *testing.T) {
-	r := New(Config{Localities: 2, TraceCapacity: 1024})
+	r := New(Config{Localities: 2, TraceSampleRate: 1})
 	defer r.Shutdown()
 	obj := r.NewDataAt(1, struct{}{})
 	r.Spawn(0, func(ctx *Context) {
 		ctx.Send(parcel.New(obj, ActionNop, nil))
 	})
 	r.Wait()
-	ring := r.Trace()
-	if ring == nil {
-		t.Fatal("trace ring missing despite capacity")
-	}
-	if ring.Len() == 0 {
-		t.Fatal("no trace events recorded")
-	}
-	snap := ring.Snapshot()
-	var sends, recvs int
-	for _, ev := range snap {
-		switch ev.Kind.String() {
-		case "parcel.send":
-			sends++
-		case "parcel.recv":
-			recvs++
+	for _, sp := range r.Spans().Snapshot() {
+		if sp.Kind == trace.SpanPost && sp.Action == ActionNop && sp.Trace != 0 {
+			return
 		}
 	}
-	if sends == 0 || recvs == 0 {
-		t.Fatalf("trace missing flow: sends=%d recvs=%d", sends, recvs)
-	}
+	t.Fatalf("no post span for the sent parcel among %d spans", r.Spans().Total())
 }

@@ -50,7 +50,7 @@ func maxContParcel() *Parcel {
 func FuzzParcelDecode(f *testing.F) {
 	for _, p := range fuzzSeeds() {
 		f.Add(p.Encode(nil))
-		// The base encoding followed by the capability-gated trace trailer:
+		// The base encoding followed by the trace trailer:
 		// decoders must hand the trailer back as the remainder, untouched.
 		f.Add(TraceCtx{ID: 0xabcd, Span: 0x1234, Flags: TraceSampled}.Append(p.Encode(nil)))
 	}

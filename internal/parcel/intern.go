@@ -16,10 +16,7 @@ import (
 // Every action reference degrades independently: a name the sender has not
 // announced (registered after the table was exchanged, or past the
 // announced prefix) is encoded as a string exactly as in the plain format.
-// A parcel may therefore mix interned and spelled-out references, and a
-// machine mixing interning-aware and string-only nodes interoperates —
-// string-only nodes simply never see the interned frame kind, because
-// senders only use it toward peers that announced a table.
+// A parcel may therefore mix interned and spelled-out references.
 //
 // Layout: identical to the plain format except each action reference is
 //
@@ -64,8 +61,8 @@ func (p *Parcel) EncodeInterned(dst []byte, t Table) []byte {
 // InternEncodable reports whether every action reference fits the
 // interned wire form. Only unregistrable names fail — the plain format
 // admits one extra byte of action-name length (MaxString) that the
-// interned form reserves as its sentinel — so callers fall back to the
-// plain Encode for such parcels instead of panicking.
+// interned form reserves as its sentinel — so callers check it instead of
+// letting EncodeInterned panic.
 func (p *Parcel) InternEncodable() bool {
 	if len(p.Action) > MaxInternString {
 		return false

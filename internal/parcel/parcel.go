@@ -51,9 +51,9 @@ type Parcel struct {
 	// Hops counts owner-forwarding retries (stale AGAS caches).
 	Hops int
 	// Trace is the distributed trace context (zero when untraced). It is
-	// NOT written by Encode: the capability-gated trailer is appended by
-	// TraceCtx.Append and parsed by DecodeTrace, so the base wire form
-	// stays understood by every peer (see trace.go).
+	// NOT written by Encode: the trailer is appended by TraceCtx.Append
+	// and parsed by DecodeTrace, so untraced parcels carry no trace bytes
+	// (see trace.go).
 	Trace TraceCtx
 
 	// argsBuf is the parcel-owned backing store DecodeInto copies argument

@@ -1,3 +1,4 @@
+// Package trace records the distributed trace spans of sampled parcels.
 package trace
 
 import (
@@ -7,9 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// Distributed trace spans. Where the Ring records free-form local events
-// for debugging, Spans records the structured per-hop records of sampled
-// parcel traces: every hop of one logical operation — post, steal, wire
+// Distributed trace spans. Spans records the structured per-hop records
+// of sampled parcel traces: every hop of one logical operation — post, steal, wire
 // send/recv, park, migrate, LCO trigger — becomes one Span sharing the
 // parcel's trace ID, across continuation chains and node boundaries.
 // The buffer is sharded by locality so concurrent hops on different

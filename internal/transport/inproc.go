@@ -21,7 +21,8 @@ func NewFabric(n int) *Fabric {
 	}
 	f := &Fabric{eps: make([]*inprocEndpoint, n)}
 	for i := range f.eps {
-		f.eps[i] = &inprocEndpoint{fab: f, self: i, notify: make(chan struct{}, 1), done: make(chan struct{})}
+		f.eps[i] = &inprocEndpoint{fab: f, self: i, heard: make([]bool, n),
+			notify: make(chan struct{}, 1), done: make(chan struct{})}
 	}
 	return f
 }
@@ -49,6 +50,8 @@ type inprocEndpoint struct {
 	handler Handler
 	hello   []byte
 	onHello func(node int, payload []byte)
+	// heard[n] records that node n's hello is queued here.
+	heard   []bool
 	started bool
 	closed  bool
 
@@ -68,7 +71,7 @@ func (e *inprocEndpoint) SetHandler(h Handler) {
 	e.handler = h
 }
 
-// SetHello installs the payload announced to peers (HelloTransport).
+// SetHello installs the payload announced to peers.
 func (e *inprocEndpoint) SetHello(payload []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -78,7 +81,7 @@ func (e *inprocEndpoint) SetHello(payload []byte) {
 	e.hello = payload
 }
 
-// SetHelloHandler installs the receiver for peer hellos (HelloTransport).
+// SetHelloHandler installs the receiver for peer hellos.
 func (e *inprocEndpoint) SetHelloHandler(h func(node int, payload []byte)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -103,42 +106,8 @@ func (e *inprocEndpoint) Start() error {
 		return nil
 	}
 	e.started = true
-	hello := e.hello
 	e.mu.Unlock()
 	go e.deliver()
-	// Exchange hellos with peers that already started (endpoints starting
-	// later push both directions themselves). Queued like frames, a hello
-	// is delivered before any frame this endpoint sends afterwards —
-	// mirroring the TCP handshake ordering. Both queues are appended
-	// under both endpoints' locks (taken in index order, so concurrent
-	// Starts cannot deadlock): the moment one side can observe the
-	// other's hello — and start sending frames that depend on it, such as
-	// interned parcels — its own hello is already queued ahead of them at
-	// the peer. When two endpoints start concurrently both may push the
-	// exchange; hello handlers are idempotent by contract, so the
-	// duplicate is harmless.
-	for _, o := range e.fab.eps {
-		if o == e {
-			continue
-		}
-		first, second := e, o
-		if o.self < e.self {
-			first, second = o, e
-		}
-		first.mu.Lock()
-		second.mu.Lock()
-		exchanged := o.started
-		if exchanged {
-			o.queue = append(o.queue, inprocFrame{from: e.self, frame: hello, hello: true})
-			e.queue = append(e.queue, inprocFrame{from: o.self, frame: o.hello, hello: true})
-		}
-		second.mu.Unlock()
-		first.mu.Unlock()
-		if exchanged {
-			o.poke()
-			e.poke()
-		}
-	}
 	return nil
 }
 
@@ -161,10 +130,19 @@ func (e *inprocEndpoint) Send(node int, frame []byte) error {
 	// The receiver owns its copy; the sender may reuse frame immediately,
 	// exactly as with a socket write.
 	cp := append([]byte(nil), frame...)
+	e.mu.Lock()
+	hello := e.hello
+	e.mu.Unlock()
 	dst.mu.Lock()
 	if dst.closed || !dst.started {
 		dst.mu.Unlock()
 		return fmt.Errorf("transport: node %d unreachable", node)
+	}
+	// Mirroring the TCP handshake, the sender's hello is delivered once,
+	// ahead of its first frame.
+	if !dst.heard[e.self] {
+		dst.heard[e.self] = true
+		dst.queue = append(dst.queue, inprocFrame{from: e.self, frame: hello, hello: true})
 	}
 	dst.queue = append(dst.queue, inprocFrame{from: e.self, frame: cp})
 	dst.mu.Unlock()

@@ -76,10 +76,9 @@ func TestTCPLaneBounds(t *testing.T) {
 	}
 }
 
-// TestTCPLanesInteropLaneless verifies the rolling-upgrade story in the
-// direction the handshake supports: a lane-capable node receives from a
-// pre-lane (v2-handshake) peer and replies over lane 0. The reverse
-// direction is covered by TestTCPAcceptsV1Handshake's hand-rolled client.
+// TestTCPLanesInteropLaneless: the lane count is a per-node choice, not
+// part of the wire contract. A 4-lane node's traffic lands on a
+// single-lane peer, whose plain sends arrive back as lane-0 traffic.
 func TestTCPLanesInteropLaneless(t *testing.T) {
 	// Node 0 speaks 4 lanes; node 1 is a plain single-lane node. Frames
 	// flow both ways: 0's lane sends all land on 1's one inbound path,
@@ -197,9 +196,8 @@ func TestTCPPoisonCatchesRetainedFrame(t *testing.T) {
 }
 
 // TestTCPMixedAliasCapability runs an aliasing node against a node forced
-// onto the copy path (DisableAliasRead), mirroring the interning/trace
-// mixed-capability tests: the read strategy is a per-node private choice
-// and must not leak into the wire contract.
+// onto the copy path (DisableAliasRead): the read strategy is a per-node
+// private choice and must not leak into the wire contract.
 func TestTCPMixedAliasCapability(t *testing.T) {
 	tcps := make([]*TCP, 2)
 	addrs := make([]string, 2)

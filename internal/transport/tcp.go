@@ -87,7 +87,8 @@ type TCPConfig struct {
 	// private buffer before invoking the handler, instead of handing the
 	// handler a sub-slice of the connection read buffer. The aliased path
 	// is safe under the Handler contract (copy what you retain); the copy
-	// path exists for the mixed-capability tests and as an escape hatch.
+	// path is the benchmark baseline (with CoalesceWrites) and an escape
+	// hatch.
 	DisableAliasRead bool
 	// PoisonAliasedReads scribbles 0xdd over every aliased frame after
 	// its handler returns, so a handler that illegally retained the slice
@@ -393,7 +394,7 @@ func (t *TCP) SetHandler(h Handler) {
 }
 
 // SetHello installs the payload exchanged inside every connection
-// handshake (HelloTransport).
+// handshake.
 func (t *TCP) SetHello(payload []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -406,9 +407,9 @@ func (t *TCP) SetHello(payload []byte) {
 	t.hello = payload
 }
 
-// SetHelloHandler installs the receiver for peer hello payloads
-// (HelloTransport). It runs on connection goroutines, once per completed
-// handshake, before any frame from that connection.
+// SetHelloHandler installs the receiver for peer hello payloads. It runs
+// on connection goroutines, once per completed handshake, before any
+// frame from that connection.
 func (t *TCP) SetHelloHandler(h func(node int, payload []byte)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -455,50 +456,22 @@ func (t *TCP) Start() error {
 }
 
 // Handshake wire form: magic | version | node ID | locality range lo, hi |
-// u32 hello length | hello payload | [v3: u16 lane | u32 flags]. Version
-// 2 added the hello payload (carrying, e.g., the runtime's
-// action-interning table); because the payload travels inside the
-// handshake it precedes every frame on the connection and is re-announced
-// automatically on reconnect. Version 3 added the lane header: the lane
-// index this connection carries plus a capability word, so a sharded
-// dialer's streams stay distinguishable and a malformed lane announcement
-// is rejected before it can cross-wire two peers.
-//
-// A version-1 header (no hello field) is still accepted — the peer is
-// treated as having announced an empty hello, i.e. string-form-only —
-// and so is a v2 header, treated as lane 0 with no capabilities. The
-// compatibility is necessarily one-directional: an old binary's own
-// strict version check rejects our v3 header, so in a rolling upgrade
-// old nodes can dial new ones but not the reverse.
+// u32 hello length | hello payload | u16 lane. Both ends speak exactly
+// hsVersion; a header carrying any other version is rejected. The hello
+// payload (carrying, e.g., the runtime's action-interning table) travels
+// inside the handshake, so it precedes every frame on the connection and
+// is re-announced automatically on reconnect. The lane index keeps a
+// sharded dialer's streams distinguishable, and a malformed lane
+// announcement is rejected before it can cross-wire two peers.
 const (
-	hsMagic      = 0x50585450 // "PXTP"
-	hsVersion    = 3
-	hsMinVersion = 1
-	hsHeadSize   = 4 + 2 + 4 + 4 + 4 // magic..range; v2 adds u32 len + hello
-	hsSize       = hsHeadSize + 4
-	hsLaneSize   = 2 + 4 // v3 lane header: u16 lane | u32 flags
+	hsMagic    = 0x50585450 // "PXTP"
+	hsVersion  = 4
+	hsHeadSize = 4 + 2 + 4 + 4 + 4 // magic..range
 )
 
-// Handshake capability flags (the v3 flags word). Unknown bits are
-// ignored for forward compatibility.
-const (
-	// hsFlagAliasRead announces that this node's receive path may hand
-	// handlers aliased read-buffer sub-slices (informational; the
-	// contract is the same either way).
-	hsFlagAliasRead = 1 << 0
-	// hsFlagSameHost announces that this connection arrived over the
-	// same-host fabric.
-	hsFlagSameHost = 1 << 1
-)
-
-func (t *TCP) handshakeBytes(lane int, sameHost bool) []byte {
-	return t.handshakeBytesV(hsVersion, lane, sameHost)
-}
-
-// handshakeBytesV encodes this node's header in the given handshake
-// version — a lower version when answering an older peer, whose own
-// reader rejects any other version.
-func (t *TCP) handshakeBytesV(version uint16, lane int, sameHost bool) []byte {
+// handshakeBytes encodes this node's header for a connection carrying
+// the given lane.
+func (t *TCP) handshakeBytes(lane int) []byte {
 	var lo, hi uint32
 	if t.hasRange {
 		lo = uint32(t.selfRange[0])
@@ -507,49 +480,33 @@ func (t *TCP) handshakeBytesV(version uint16, lane int, sameHost bool) []byte {
 	t.mu.Lock()
 	hello := t.hello
 	t.mu.Unlock()
-	buf := make([]byte, 0, hsSize+hsLaneSize+len(hello))
+	buf := make([]byte, 0, hsHeadSize+4+len(hello)+2)
 	buf = binary.LittleEndian.AppendUint32(buf, hsMagic)
-	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint16(buf, hsVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.cfg.Self))
 	buf = binary.LittleEndian.AppendUint32(buf, lo)
 	buf = binary.LittleEndian.AppendUint32(buf, hi)
-	if version >= 2 {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hello)))
-		buf = append(buf, hello...)
-	}
-	if version >= 3 {
-		var flags uint32
-		if !t.cfg.DisableAliasRead {
-			flags |= hsFlagAliasRead
-		}
-		if sameHost {
-			flags |= hsFlagSameHost
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(lane))
-		buf = binary.LittleEndian.AppendUint32(buf, flags)
-	}
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hello)))
+	buf = append(buf, hello...)
+	return binary.LittleEndian.AppendUint16(buf, uint16(lane))
 }
 
 // readHandshake parses and validates a peer header, returning the peer's
-// node ID, hello payload (nil for a v1 peer, which has none), the lane
-// this connection carries (0 for pre-v3 peers), and the handshake version
-// the peer spoke.
-func (t *TCP) readHandshake(r io.Reader) (node int, hello []byte, lane int, v uint16, err error) {
+// node ID, hello payload, and the lane this connection carries.
+func (t *TCP) readHandshake(r io.Reader) (node int, hello []byte, lane int, err error) {
 	var buf [hsHeadSize]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake read: %w", err)
+		return 0, nil, 0, fmt.Errorf("transport: handshake read: %w", err)
 	}
 	if m := binary.LittleEndian.Uint32(buf[0:4]); m != hsMagic {
-		return 0, nil, 0, 0, fmt.Errorf("transport: bad handshake magic %#x", m)
+		return 0, nil, 0, fmt.Errorf("transport: bad handshake magic %#x", m)
 	}
-	v = binary.LittleEndian.Uint16(buf[4:6])
-	if v < hsMinVersion || v > hsVersion {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake version %d, want %d..%d", v, hsMinVersion, hsVersion)
+	if v := binary.LittleEndian.Uint16(buf[4:6]); v != hsVersion {
+		return 0, nil, 0, fmt.Errorf("transport: peer speaks handshake version %d, this node speaks %d", v, hsVersion)
 	}
 	node = int(binary.LittleEndian.Uint32(buf[6:10]))
 	if node < 0 || node >= MaxJoinNodes || node == t.cfg.Self {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake from invalid node %d", node)
+		return 0, nil, 0, fmt.Errorf("transport: handshake from invalid node %d", node)
 	}
 	lo := int(binary.LittleEndian.Uint32(buf[10:14]))
 	hi := int(binary.LittleEndian.Uint32(buf[14:18]))
@@ -573,43 +530,34 @@ func (t *TCP) readHandshake(r io.Reader) (node int, hello []byte, lane int, v ui
 	// Cross-check only ranges we were configured with (hi > lo): a slot
 	// grown by an earlier join holds the joiner's own announcement.
 	if checkRange && want[1] > want[0] && (lo != want[0] || hi != want[1]) {
-		return 0, nil, 0, 0, fmt.Errorf("transport: node %d announced localities [%d,%d), want [%d,%d)",
+		return 0, nil, 0, fmt.Errorf("transport: node %d announced localities [%d,%d), want [%d,%d)",
 			node, lo, hi, want[0], want[1])
-	}
-	if v < 2 {
-		return node, nil, 0, v, nil // v1 carries no hello: a string-only peer
 	}
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake hello length read: %w", err)
+		return 0, nil, 0, fmt.Errorf("transport: handshake hello length read: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
 	if n > MaxHello {
-		return 0, nil, 0, 0, fmt.Errorf("transport: node %d announced a %d-byte hello, limit %d", node, n, MaxHello)
+		return 0, nil, 0, fmt.Errorf("transport: node %d announced a %d-byte hello, limit %d", node, n, MaxHello)
 	}
 	if n > 0 {
 		hello = make([]byte, n)
 		if _, err := io.ReadFull(r, hello); err != nil {
-			return 0, nil, 0, 0, fmt.Errorf("transport: handshake hello read: %w", err)
+			return 0, nil, 0, fmt.Errorf("transport: handshake hello read: %w", err)
 		}
 	}
-	if v < 3 {
-		return node, hello, 0, v, nil // pre-lane peer: everything is lane 0
-	}
-	var laneBuf [hsLaneSize]byte
+	var laneBuf [2]byte
 	if _, err := io.ReadFull(r, laneBuf[:]); err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake lane read: %w", err)
+		return 0, nil, 0, fmt.Errorf("transport: handshake lane read: %w", err)
 	}
-	lane = int(binary.LittleEndian.Uint16(laneBuf[0:2]))
+	lane = int(binary.LittleEndian.Uint16(laneBuf[:]))
 	if lane >= MaxLanes {
 		// A corrupt lane announcement is rejected outright rather than
 		// clamped: accepting it could cross-wire two peers' orderings.
-		return 0, nil, 0, 0, fmt.Errorf("transport: node %d announced lane %d, limit %d", node, lane, MaxLanes)
+		return 0, nil, 0, fmt.Errorf("transport: node %d announced lane %d, limit %d", node, lane, MaxLanes)
 	}
-	// laneBuf[2:6] is the capability flags word; unknown bits are ignored
-	// for forward compatibility and no current bit changes receive-side
-	// behavior.
-	return node, hello, lane, v, nil
+	return node, hello, lane, nil
 }
 
 func (t *TCP) acceptLoop(ln net.Listener) {
@@ -656,15 +604,11 @@ func (t *TCP) serveConn(conn net.Conn) {
 	deadline := time.Now().Add(t.cfg.HandshakeTimeout)
 	conn.SetDeadline(deadline)
 	br := bufio.NewReaderSize(conn, t.cfg.ReadBufferBytes)
-	from, hello, _, peerVer, err := t.readHandshake(br)
+	from, hello, _, err := t.readHandshake(br)
 	if err != nil {
 		return
 	}
-	// Reply in the peer's own version: an old binary's reader strictly
-	// rejects anything else, and the reply it expects has no lane header
-	// (nor, for v1, a hello).
-	_, sameHost := conn.(*net.UnixConn)
-	if _, err := conn.Write(t.handshakeBytesV(peerVer, 0, sameHost)); err != nil {
+	if _, err := conn.Write(t.handshakeBytes(0)); err != nil {
 		return
 	}
 	conn.SetDeadline(time.Time{})
@@ -1117,16 +1061,15 @@ func (t *TCP) dialOnce(addr string) (net.Conn, error) {
 // completeDial runs the client half of the handshake and verifies the
 // answering node is the one we meant to reach. The peer's hello payload
 // (read from its handshake response) is delivered before the dial is
-// declared complete, so a sender learns the peer's capabilities before
+// declared complete, so a sender holds the peer's announcement before
 // its first frame on the new connection.
 func (t *TCP) completeDial(conn net.Conn, node, lane int) error {
 	conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
-	_, sameHost := conn.(*net.UnixConn)
-	if _, err := conn.Write(t.handshakeBytes(lane, sameHost)); err != nil {
+	if _, err := conn.Write(t.handshakeBytes(lane)); err != nil {
 		return err
 	}
-	got, hello, _, _, err := t.readHandshake(conn)
+	got, hello, _, err := t.readHandshake(conn)
 	if err != nil {
 		return err
 	}

@@ -116,6 +116,38 @@ func TestInprocFabric(t *testing.T) {
 	}
 }
 
+// TestInprocHelloPrecedesFrames: like a TCP handshake, the fabric hands
+// a receiver the sender's hello exactly once, ahead of the sender's first
+// frame, so frames that depend on it (interned parcels) always decode.
+func TestInprocHelloPrecedesFrames(t *testing.T) {
+	f := NewFabric(2)
+	col := &collector{}
+	for i := 0; i < 2; i++ {
+		n := f.Node(i)
+		n.SetHello([]byte(fmt.Sprintf("hello-%d", i)))
+		n.SetHelloHandler(func(node int, payload []byte) {
+			col.handle(node, append([]byte("hello:"), payload...))
+		})
+		n.SetHandler(col.handle)
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+	}
+	for i := 0; i < 3; i++ {
+		if err := f.Node(0).Send(1, []byte(fmt.Sprintf("f%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := col.wait(t, 4)
+	want := []string{"hello:hello-0", "f0", "f1", "f2"}
+	for i, w := range want {
+		if got[i].from != 0 || got[i].data != w {
+			t.Fatalf("delivery %d: from=%d data=%q, want %q from node 0", i, got[i].from, got[i].data, w)
+		}
+	}
+}
+
 func newTCPTrio(t *testing.T, ranges [][2]int) ([]Transport, []*collector) {
 	t.Helper()
 	tcps := make([]*TCP, 3)
@@ -338,11 +370,12 @@ func TestTCPHandshakeRejectsWrongRanges(t *testing.T) {
 	}
 }
 
-// TestTCPAcceptsV1Handshake: a peer speaking the version-1 header (no
-// hello field) still connects and delivers frames; it is treated as a
-// string-only node (nil hello). Rolling upgrades keep old dialers working
-// against new listeners.
-func TestTCPAcceptsV1Handshake(t *testing.T) {
+// TestTCPRejectsOtherHandshakeVersion: every node runs the same protocol
+// version, so a header announcing any other version is refused outright —
+// the listener closes the connection without replying, delivering neither
+// the hello nor any frame that follows. A current-version header over the
+// same hand-rolled client is the positive control.
+func TestTCPRejectsOtherHandshakeVersion(t *testing.T) {
 	tt, err := NewTCP(TCPConfig{Self: 0, Listen: "127.0.0.1:0", Peers: make([]string, 2)})
 	if err != nil {
 		t.Fatal(err)
@@ -351,59 +384,60 @@ func TestTCPAcceptsV1Handshake(t *testing.T) {
 	col := &collector{}
 	tt.SetHandler(col.handle)
 	var helloMu sync.Mutex
-	var hellos [][]byte
+	var hellos []string
 	tt.SetHelloHandler(func(node int, payload []byte) {
 		helloMu.Lock()
-		hellos = append(hellos, payload)
+		hellos = append(hellos, string(payload))
 		helloMu.Unlock()
 	})
 	tt.SetPeers([]string{tt.Addr().String(), "127.0.0.1:1"})
 	if err := tt.Start(); err != nil {
 		t.Fatal(err)
 	}
-
-	conn, err := net.Dial("tcp", tt.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	// dial sends a handshake in the given version followed by one frame,
+	// and reports whether the listener answered with a header of its own.
+	dial := func(version uint16, payload string) error {
+		conn, err := net.Dial("tcp", tt.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		msg := hsHeader(version, 1, 0, 0, []byte("hello-v"+fmt.Sprint(version)), 0)
+		msg = binary.LittleEndian.AppendUint32(msg, uint32(len(payload)))
+		msg = append(msg, payload...)
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err = io.ReadFull(conn, make([]byte, hsHeadSize))
+		return err
 	}
-	defer conn.Close()
-	// Version-1 header: magic | u16 1 | node 1 | lo 0 | hi 0 — and then
-	// immediately a frame, with no hello field in between.
-	hs := binary.LittleEndian.AppendUint32(nil, hsMagic)
-	hs = binary.LittleEndian.AppendUint16(hs, 1)
-	hs = binary.LittleEndian.AppendUint32(hs, 1)
-	hs = binary.LittleEndian.AppendUint32(hs, 0)
-	hs = binary.LittleEndian.AppendUint32(hs, 0)
-	if _, err := conn.Write(hs); err != nil {
-		t.Fatal(err)
+	for _, v := range []uint16{3, 5} {
+		if err := dial(v, "from-another-version"); err == nil {
+			t.Fatalf("version %d handshake answered, want the connection refused", v)
+		}
 	}
-	// The listener must answer in v1 format — fixed 18-byte header,
-	// version 1, no hello field — or a real v1 binary's strict version
-	// check would drop the connection.
-	reply := make([]byte, 18)
-	if _, err := io.ReadFull(conn, reply); err != nil {
-		t.Fatalf("v1 reply read: %v", err)
+	// The listener closes a refused connection before reading past the
+	// header, so once both reads above failed nothing more can arrive.
+	helloMu.Lock()
+	refused := len(hellos)
+	helloMu.Unlock()
+	col.mu.Lock()
+	frames := len(col.frames)
+	col.mu.Unlock()
+	if refused != 0 || frames != 0 {
+		t.Fatalf("refused handshakes delivered %d hellos and %d frames", refused, frames)
 	}
-	if m := binary.LittleEndian.Uint32(reply[0:4]); m != hsMagic {
-		t.Fatalf("v1 reply magic %#x", m)
+	if err := dial(hsVersion, "current"); err != nil {
+		t.Fatalf("version %d handshake refused: %v", hsVersion, err)
 	}
-	if v := binary.LittleEndian.Uint16(reply[4:6]); v != 1 {
-		t.Fatalf("v1 peer answered with handshake version %d, want 1", v)
-	}
-	payload := []byte("from-the-past")
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = append(frame, payload...)
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	got := col.wait(t, 1)
-	if got[0].from != 1 || got[0].data != "from-the-past" {
-		t.Fatalf("frame from v1 peer: from=%d data=%q", got[0].from, got[0].data)
+	if got := col.wait(t, 1); got[0].from != 1 || got[0].data != "current" {
+		t.Fatalf("frame after current handshake: from=%d data=%q", got[0].from, got[0].data)
 	}
 	helloMu.Lock()
 	defer helloMu.Unlock()
-	if len(hellos) != 1 || hellos[0] != nil {
-		t.Fatalf("v1 peer hello: got %v, want one nil payload", hellos)
+	if len(hellos) != 1 || hellos[0] != fmt.Sprintf("hello-v%d", hsVersion) {
+		t.Fatalf("hellos delivered: %q, want only the current version's", hellos)
 	}
 }
 
