@@ -292,3 +292,66 @@ func TestHardwareGIDDeterministic(t *testing.T) {
 		t.Fatal("allocated name collided with reserved hardware name")
 	}
 }
+
+// TestCacheKeepsNoGuessesAndFreeEvicts pins the translation cache's
+// bounds on a multi-node machine: a route-toward-home guess for a remote
+// name is never cached (it is recomputed, and counts as a hit), Free
+// evicts a freed name from every resident locality's cache, and a moved
+// verdict for a remote name creates the line a stale sender needs to
+// reach the new owner directly.
+func TestCacheKeepsNoGuessesAndFreeEvicts(t *testing.T) {
+	m := MustLocalityMap([]Range{{0, 2}, {2, 4}})
+	s := NewService(4)
+	s.SetDistribution(m, 0)
+
+	remote := GID{Home: 3, Kind: KindData, Seq: 5}
+	hits, res := s.CacheHits.Load(), s.Resolutions.Load()
+	for i := 0; i < 3; i++ {
+		if owner, err := s.ResolveCached(0, remote); err != nil || owner != 3 {
+			t.Fatalf("remote guess = %d, %v; want home 3", owner, err)
+		}
+	}
+	if n := s.CachedLines(0); n != 0 {
+		t.Fatalf("route-toward-home guess cached: %d lines", n)
+	}
+	if s.CacheHits.Load()-hits != 3 || s.Resolutions.Load() != res {
+		t.Fatalf("guesses counted as %d hits, %d resolutions; want 3, 0",
+			s.CacheHits.Load()-hits, s.Resolutions.Load()-res)
+	}
+
+	// An authoritative consult fills no cache; a cached resolve of a
+	// resident name fills its locality's cache; Free empties them all.
+	g := s.Alloc(0, KindData)
+	if _, _, err := s.ResolveAuthoritative(1, g); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.CachedLines(1); n != 0 {
+		t.Fatalf("authoritative consult cached %d lines", n)
+	}
+	for loc := 0; loc < 2; loc++ {
+		if _, err := s.ResolveCached(loc, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.CachedLines(0) != 1 || s.CachedLines(1) != 1 {
+		t.Fatalf("resident name cached in %d and %d lines, want 1 and 1", s.CachedLines(0), s.CachedLines(1))
+	}
+	s.Free(g)
+	if s.CachedLines(0) != 0 || s.CachedLines(1) != 0 {
+		t.Fatalf("Free left %d and %d cache lines", s.CachedLines(0), s.CachedLines(1))
+	}
+
+	// A moved verdict for the remote name creates its line in every
+	// resident cache, so the next send goes straight to the new owner.
+	s.Repoint(remote, 2, 4)
+	for loc := 0; loc < 2; loc++ {
+		if owner, err := s.ResolveCached(loc, remote); err != nil || owner != 2 {
+			t.Fatalf("locality %d after moved verdict resolves to %d, %v; want 2", loc, owner, err)
+		}
+	}
+	// An older verdict cannot roll the created line back.
+	s.Repoint(remote, 3, 1)
+	if owner, _ := s.ResolveCached(0, remote); owner != 2 {
+		t.Fatalf("stale verdict rolled the created line back to %d", owner)
+	}
+}

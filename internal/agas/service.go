@@ -172,7 +172,8 @@ type Service struct {
 	selfNode int
 
 	// Resolutions counts cache-miss directory consultations; CacheHits
-	// counts translations answered locally. The ratio is the address
+	// counts translations answered locally (from the cache, or a
+	// route-toward-home guess). The ratio is the address
 	// translation efficiency the paper's "efficient address translation"
 	// requirement refers to. Forwards counts stale-translation repairs
 	// (each Invalidate), so it bounds how many forwarded hops parcels took.
@@ -368,8 +369,9 @@ func (s *Service) Owner(g GID) (int, error) {
 // observe whether resolution crossed a forwarding pointer (ErrMoved).
 func (s *Service) Locate(g GID) (int, uint64, error) {
 	owner, gen, err := s.OwnerGen(g)
-	var mv *MovedError
-	if errors.As(err, &mv) {
+	// OwnerGen returns the verdict unwrapped; a type assertion, unlike
+	// errors.As, does not move a target variable to the heap per call.
+	if mv, ok := err.(*MovedError); ok {
 		return mv.To, mv.Gen, nil
 	}
 	return owner, gen, err
@@ -420,7 +422,9 @@ func (s *Service) OwnerGen(g GID) (int, uint64, error) {
 // since migrated; callers discover staleness when the presumed owner
 // misses the access, and then Invalidate and retry — the forwarding path
 // counted by Forwards. A cache hit — the steady state of every parcel
-// send — is one lock-free load of an immutable line.
+// send — is one lock-free load of an immutable line. A route-toward-home
+// guess is recomputed from g.Home on every call instead of cached (see
+// store), and counts as a hit: no directory was consulted.
 func (s *Service) ResolveCached(from int, g GID) (int, error) {
 	s.checkLoc(from)
 	c := s.shards.Load().caches[from]
@@ -432,6 +436,10 @@ func (s *Service) ResolveCached(from int, g GID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if gen == 0 {
+		s.CacheHits.Add(1)
+		return owner, nil
+	}
 	s.Resolutions.Add(1)
 	c.store(g, owner, gen)
 	return owner, nil
@@ -439,8 +447,13 @@ func (s *Service) ResolveCached(from int, g GID) (int, error) {
 
 // store publishes a translation, keeping the newest generation when lines
 // race: a concurrent writer with a newer verdict must not be overwritten
-// by this older answer.
+// by this older answer. An unversioned guess (gen 0) is never stored: it
+// is recomputable from g.Home, and this node cannot learn when a remote
+// name is freed, so a cached guess would outlive its name for good.
 func (c *translationCache) store(g GID, owner int, gen uint64) {
+	if gen == 0 {
+		return
+	}
 	line := &cacheLine{owner: owner, gen: gen}
 	for {
 		old, loaded := c.m.LoadOrStore(g, line)
@@ -461,8 +474,10 @@ func (c *translationCache) store(g GID, owner int, gen uint64) {
 // this node's authoritative knowledge — never the private cache, because
 // the answer may back a "moved" verdict taught to a remote sender. The
 // consult is counted as a Resolution (it is a directory consult, keeping
-// the translation-efficiency ratio comparable with the cached path) and
-// warms from's cache in place so subsequent local sends go direct.
+// the translation-efficiency ratio comparable with the cached path). It
+// does not fill from's cache: most names arriving over the wire are
+// one-shot reply futures, freed moments later, and a local send fills the
+// cache on first use anyway.
 func (s *Service) ResolveAuthoritative(from int, g GID) (int, uint64, error) {
 	s.checkLoc(from)
 	owner, gen, err := s.Locate(g)
@@ -470,8 +485,19 @@ func (s *Service) ResolveAuthoritative(from int, g GID) (int, uint64, error) {
 		return 0, 0, err
 	}
 	s.Resolutions.Add(1)
-	s.shards.Load().caches[from].store(g, owner, gen)
 	return owner, gen, nil
+}
+
+// CachedLines reports how many translations locality loc's cache holds.
+// It walks the cache, so it suits tests and diagnostics, not a hot path.
+func (s *Service) CachedLines(loc int) int {
+	s.checkLoc(loc)
+	n := 0
+	s.shards.Load().caches[loc].m.Range(func(any, any) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 // Invalidate drops locality from's cached translation for g, forcing the
@@ -484,11 +510,21 @@ func (s *Service) Invalidate(from int, g GID) {
 
 // Repoint applies a "moved" verdict: every resident locality whose cache
 // holds a translation for g older than gen is updated to the new owner in
-// place. Lines are never created — caches fill on demand — and a verdict
-// older than what a cache already knows is ignored, so racing verdicts
-// from interleaved migrations converge on the newest generation.
+// place, and a verdict older than what a cache already knows is ignored,
+// so racing verdicts from interleaved migrations converge on the newest
+// generation. Lines are created only for a name homed on another node:
+// its route-toward-home guess is never cached (see store), so without a
+// line the next send would head home again instead of to the new owner.
+// A name homed here resolves against its directory, and caches fill on
+// demand.
 func (s *Service) Repoint(g GID, owner int, gen uint64) {
-	for _, c := range s.shards.Load().caches {
+	sh := s.shards.Load()
+	create := int(g.Home) < sh.n && !s.resident(int(g.Home))
+	for i, c := range sh.caches {
+		if create && s.resident(i) {
+			c.store(g, owner, gen)
+			continue
+		}
 		for {
 			old, ok := c.m.Load(g)
 			if !ok || old.(*cacheLine).gen >= gen {
@@ -610,14 +646,20 @@ func (s *Service) DropForward(g GID) {
 	})
 }
 
-// Free removes g from its home directory, import table, and forwarding
-// table, and is idempotent. Directory entries homed on other nodes are
-// left to their owning node.
+// Free removes g from its home directory, import table, forwarding
+// table, and every resident locality's translation cache, and is
+// idempotent. Directory entries homed on other nodes are left to their
+// owning node.
 func (s *Service) Free(g GID) {
 	s.DropImport(g)
 	s.DropForward(g)
 	home := int(g.Home)
 	sh := s.shards.Load()
+	for i, c := range sh.caches {
+		if s.resident(i) {
+			c.m.Delete(g)
+		}
+	}
 	if home >= sh.n || !s.resident(home) {
 		return
 	}

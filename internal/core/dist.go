@@ -20,17 +20,17 @@ import (
 // write is in flight simply joins the next batch. Kind 1, the retired
 // string-form parcel, stays unassigned.
 const (
-	fAck        = byte(2)  // per-parcel receipt; releases the sender's work unit
+	fAck        = byte(2)  // cumulative receipt: uvarint n; releases n of the sender's work units
 	fDrain      = byte(3)  // quiescence probe: u64 seq
 	fDrainReply = byte(4)  // probe answer: u64 seq | i64 pending | u64 sent | u64 recv
 	fGoodbye    = byte(5)  // node departure: u64 final sent | u64 final recv
 	fHalt       = byte(6)  // cooperative machine-wide halt request
-	fAckMoved   = byte(7)  // receipt + moved verdict: gid | u32 owner | u64 gen
+	fAckMoved   = byte(7)  // one receipt + moved verdict: gid | u32 owner | u64 gen
 	fMigrate    = byte(8)  // object payload push: u64 xid | gid | u32 to | u64 gen | value record
 	fMigrateOK  = byte(9)  // migrate push outcome: u64 xid | u8 ok | str error
 	fDirUpdate  = byte(10) // home-directory commit request: u64 xid | gid | u32 owner | u64 gen
 	fDirOK      = byte(11) // commit outcome: u64 xid | u8 ok | str error
-	fParcelI    = byte(12) // parcel in the interned-action wire form (see intern.go)
+	fParcelI    = byte(12) // uvarint receipts | parcel in the interned-action wire form (see intern.go)
 	fLCOSet     = byte(13) // LCO trigger: u64 tid | u8 op | gid | u32 slot | u32 hops | u32 vlen | value
 	fLCOFire    = byte(14) // LCO resolution delivery to a waiter; same body as fLCOSet
 	fLCOAck     = byte(15) // LCO trigger receipt: u64 tid; stops retransmission
@@ -45,11 +45,13 @@ const (
 //
 // Accounting model: a parcel leaving this node keeps its local work unit
 // charged until the receiving node acknowledges the frame; the receiver
-// charges its own unit before acknowledging, so an in-flight parcel is
-// counted by at least one node at every instant. Global quiescence is then
-// detected with a Mattern-style two-wave probe: all nodes report zero
-// pending work and identical, balanced send/receive totals across two
-// consecutive waves.
+// charges its own unit before it owes the receipt, so an in-flight parcel
+// is counted by at least one node at every instant. Receipts are
+// cumulative counts, not one frame per parcel: they ride the next parcel
+// toward the sender, or a standalone fAck when none goes that way soon
+// (see owe). Global quiescence is then detected with a Mattern-style
+// two-wave probe: all nodes report zero pending work and identical,
+// balanced send/receive totals across two consecutive waves.
 type distState struct {
 	rt   *Runtime
 	tr   transport.Transport
@@ -77,6 +79,13 @@ type distState struct {
 	intern       *internState
 	internedSent atomic.Uint64
 	internedRecv atomic.Uint64
+
+	// acksPiggybacked/acksStandalone count the receipts this node sent on
+	// parcel frames and in standalone fAck frames; acksClosed stops the
+	// standalone flush once the transport is about to close.
+	acksPiggybacked atomic.Int64
+	acksStandalone  atomic.Int64
+	acksClosed      atomic.Bool
 
 	drainMu  sync.Mutex
 	drainSeq uint64
@@ -106,12 +115,12 @@ type distState struct {
 	halt     chan struct{}
 }
 
-// ackFrame is the plain per-parcel receipt, shared across sends, so the
-// receive path acks without allocating. Sharing is safe even on the TCP
-// transport's zero-copy path: Send references the frame until the write
-// covering it returns (blocking the caller that long), but never mutates
-// it, and this frame is never written to by anyone.
-var ackFrame = []byte{fAck}
+// ackFlushDelay bounds how long owed receipts wait for a parcel toward
+// their peer before a standalone fAck carries them. It is several remote
+// round trips long, so in call/reply traffic the reply nearly always
+// carries the receipt for its request, and the receipt for the reply
+// rides the next request.
+const ackFlushDelay = 200 * time.Microsecond
 
 // rpcReply is the outcome of one migration frame exchange.
 type rpcReply struct {
@@ -176,17 +185,24 @@ func (d *distState) onFrame(from int, frame []byte) {
 	// Stamp liveness before dispatch: the death check counts silence
 	// across ALL lanes of a peer, so any frame kind on any lane vetoes a
 	// pending verdict (see memberState.check).
+	var stamp int64
 	if ps := d.peer(from); ps != nil {
-		ps.lastFrame.Store(time.Now().UnixNano())
+		stamp = time.Now().UnixNano()
+		ps.lastFrame.Store(stamp)
 	}
 	switch frame[0] {
 	case fParcelI:
 		d.internedRecv.Add(1)
-		d.onParcel(from, frame[1:])
+		d.onParcel(from, frame[1:], stamp)
 	case fAck:
-		d.onAck(from)
+		n, ok := decodeAckCount(frame[1:])
+		if !ok {
+			d.rt.recordError(fmt.Errorf("core: bad receipt frame from node %d", from))
+			return
+		}
+		d.settle(from, n)
 	case fAckMoved:
-		d.onAck(from)
+		d.settle(from, 1)
 		d.onMovedVerdict(frame[1:])
 	case fMigrate:
 		d.onMigrate(from, frame[1:])
@@ -201,6 +217,12 @@ func (d *distState) onFrame(from int, frame []byte) {
 	case fDrain:
 		if len(frame) < 9 {
 			return
+		}
+		// The receipts owed to the prober go first, so its wave does not
+		// wait on a flush timer. Only the prober's: a flush toward another
+		// peer could block this receive loop on a link that is down.
+		if ps := d.peer(from); ps != nil {
+			d.flushAcks(from, ps)
 		}
 		d.replyDrain(from, binary.LittleEndian.Uint64(frame[1:9]))
 	case fDrainReply:
@@ -234,43 +256,59 @@ func (d *distState) onFrame(from int, frame []byte) {
 	}
 }
 
-// onAck releases the work unit held by one acknowledged parcel. If the
-// peer was declared dead in the window between our send and its ack, the
-// death cleanup already released every unit charged to that lane, so a
-// straggler ack must not release a second time.
-func (d *distState) onAck(from int) {
-	ps := d.peer(from)
-	if ps == nil {
-		d.rt.doneWork()
-		return
-	}
-	ps.mu.Lock()
-	live := !ps.dead.Load() && ps.outstanding > 0
-	if live {
-		ps.outstanding--
-	}
-	ps.mu.Unlock()
-	if live {
-		d.rt.doneWork()
+// settle applies a cumulative receipt for n parcels from node from,
+// releasing the work units they held (see peerState.settle).
+func (d *distState) settle(from int, n uint64) {
+	if ps := d.peer(from); ps != nil {
+		d.rt.doneWorkN(ps.settle(n))
 	}
 }
 
-// onParcel decodes and delivers one cross-node parcel. The work unit is
-// charged before the acknowledgement goes out so the parcel is never
-// uncounted. When this node knows the destination object lives elsewhere
-// — it departed by migration, or the home directory here names another
-// node — the acknowledgement carries a piggybacked "moved" verdict so the
-// stale sender repoints its caches before its next parcel.
+// decodeAckCount parses the body of an fAck frame: exactly one uvarint.
+func decodeAckCount(body []byte) (n uint64, ok bool) {
+	n, k := binary.Uvarint(body)
+	return n, k > 0 && k == len(body)
+}
+
+// errBadReceipts reports a parcel frame whose receipt prefix does not
+// parse.
+var errBadReceipts = errors.New("core: malformed receipt count")
+
+// splitReceipts parses the receipt prefix of a parcel frame body,
+// returning the count and the parcel bytes after it.
+func splitReceipts(body []byte) (n uint64, rest []byte, ok bool) {
+	n, k := binary.Uvarint(body)
+	if k <= 0 {
+		return 0, nil, false
+	}
+	return n, body[k:], true
+}
+
+// onParcel settles the receipts a parcel frame carries, then decodes and
+// delivers its parcel. The work unit is charged before the receipt is
+// owed, so the parcel is never uncounted. When this node knows the
+// destination object lives elsewhere — it departed by migration, or the
+// home directory here names another node — the receipt goes back at once
+// as an fAckMoved carrying the "moved" verdict, so the stale sender
+// repoints its caches before its next parcel. stamp is the frame's arrival
+// time (wall-clock nanoseconds).
 //
 // The parcel decodes into a pooled value that owns its bytes (body is the
 // transport's reused read buffer); ownership then flows down the delivery
 // path, which releases it when dispatch completes.
-func (d *distState) onParcel(from int, body []byte) {
+func (d *distState) onParcel(from int, body []byte, stamp int64) {
 	d.recv.Add(1)
-	if ps := d.ensurePeer(from); ps != nil {
+	ps := d.ensurePeer(from)
+	if ps != nil {
 		ps.recv.Add(1)
 	}
-	p, rest, err := parcel.DecodePooledInterned(body, d.decodeTableFor(from))
+	var p *parcel.Parcel
+	n, rest, ok := splitReceipts(body)
+	err := errBadReceipts
+	if ok {
+		d.settle(from, n)
+		p, rest, err = parcel.DecodePooledInterned(rest, d.decodeTableFor(from))
+	}
 	if err == nil && len(rest) == parcel.TraceWireSize {
 		// A sampled parcel carries the fixed-size trace trailer. The
 		// length is unambiguous: the base wire form never leaves trailing
@@ -289,7 +327,7 @@ func (d *distState) onParcel(from int, body []byte) {
 		d.rt.addWork()
 		owner, gen, rerr = d.resolveHere(g)
 	}
-	d.ackParcel(from, p != nil, g, owner, gen, rerr)
+	d.ackParcel(from, ps, g, owner, gen, rerr, stamp)
 	if err != nil {
 		parcel.Release(p)
 		d.rt.recordError(fmt.Errorf("core: bad parcel frame from node %d: %w", from, err))
@@ -302,9 +340,9 @@ func (d *distState) onParcel(from int, body []byte) {
 // resolveHere reports this node's authoritative knowledge of a
 // destination — the owning locality and its generation, with any
 // forwarding verdict folded into the next hop. The consult counts as an
-// AGAS resolution and warms the home locality's cache; it deliberately
-// never reads that cache, since a stale line must not back a "moved"
-// verdict. Unknown names report the error.
+// AGAS resolution; it deliberately never reads the translation cache,
+// since a stale line must not back a "moved" verdict. Unknown names
+// report the error.
 func (d *distState) resolveHere(g agas.GID) (owner int, gen uint64, err error) {
 	return d.rt.agas.ResolveAuthoritative(d.home, g)
 }
@@ -383,30 +421,133 @@ func (d *distState) sendRetryLane(node, lane int, frame []byte) error {
 	return err
 }
 
-// ackParcel acknowledges one parcel frame, piggybacking a "moved" verdict
-// when this node's authoritative knowledge (directory, import table, or
-// forwarding pointer) places the destination on another node — the sender
-// repoints its caches and reaches the new owner directly next time.
-// resolved is false for an undecodable frame, which gets a plain receipt;
-// (owner, gen, err) is onParcel's single resolution of destination g.
-func (d *distState) ackParcel(node int, resolved bool, g agas.GID, owner int, gen uint64, err error) {
-	// Transports copy the frame synchronously, so the plain receipt is a
-	// shared constant — no allocation per received parcel.
-	frame := ackFrame
+// ackParcel settles the receipt for one parcel frame from node. A
+// "moved" verdict — this node's authoritative knowledge (directory, import
+// table, or forwarding pointer) places the destination on another node —
+// goes back at once in an fAckMoved, so the sender repoints its caches and
+// reaches the new owner directly next time. Every other receipt is owed:
+// the receive path makes no transport send for it. (owner, gen, err) is
+// onParcel's single resolution of destination g; err is also set for an
+// undecodable frame.
+func (d *distState) ackParcel(node int, ps *peerState, g agas.GID, owner int, gen uint64, err error, stamp int64) {
 	// gen 0 is an unversioned route-toward-home guess, not knowledge
 	// worth teaching the sender.
-	if n, known := d.lmap.NodeOf(owner); resolved && err == nil && gen > 0 && known && n != d.node {
-		frame = make([]byte, 0, 1+agas.GIDSize+12)
+	if n, known := d.lmap.NodeOf(owner); err == nil && gen > 0 && known && n != d.node {
+		frame := make([]byte, 0, 1+agas.GIDSize+12)
 		frame = append(frame, fAckMoved)
 		frame = g.Encode(frame)
 		frame = binary.LittleEndian.AppendUint32(frame, uint32(owner))
 		frame = binary.LittleEndian.AppendUint64(frame, gen)
+		if err := d.sendRetry(node, frame); err != nil {
+			// The sender stays unreachable: its work unit for this parcel
+			// leaks and its Wait will block until the operator intervenes —
+			// parcels are not fault tolerant. Record for diagnosis.
+			d.rt.recordError(fmt.Errorf("core: ack to node %d: %w", node, err))
+		}
+		return
 	}
+	if ps != nil {
+		d.owe(node, ps, stamp)
+	}
+}
+
+// owe records one receipt owed to node and arms the standalone flush that
+// carries it if no parcel toward node does first.
+func (d *distState) owe(node int, ps *peerState, stamp int64) {
+	if ps.owed.Add(1) == 1 {
+		ps.owedSince.Store(stamp)
+	}
+	d.armAckFlush(node, ps, ackFlushDelay)
+}
+
+// armAckFlush schedules the peer's flush timer unless it is already
+// pending. The timer is created on first use and reused afterwards.
+func (d *distState) armAckFlush(node int, ps *peerState, after time.Duration) {
+	if ps.ackArmed.Load() || !ps.ackArmed.CompareAndSwap(false, true) {
+		return
+	}
+	ps.mu.Lock()
+	if ps.ackTimer == nil {
+		ps.ackTimer = time.AfterFunc(after, func() { d.onAckTimer(node, ps) })
+	} else {
+		ps.ackTimer.Reset(after)
+	}
+	ps.mu.Unlock()
+}
+
+// onAckTimer flushes receipts that no parcel has carried for
+// ackFlushDelay. Receipts owed for less than that (a parcel carried the
+// count to 0 as the timer fired, and it rose again) wait out the remainder
+// instead.
+func (d *distState) onAckTimer(node int, ps *peerState) {
+	ps.ackArmed.Store(false)
+	if ps.owed.Load() == 0 {
+		return
+	}
+	if wait := ackFlushDelay - time.Duration(time.Now().UnixNano()-ps.owedSince.Load()); wait > 0 {
+		d.armAckFlush(node, ps, wait)
+		return
+	}
+	d.flushAcks(node, ps)
+}
+
+// flushAcks sends every receipt owed to node in one standalone cumulative
+// fAck. Receipts owed to the declared-dead are dropped; a failed send
+// hands its receipts back, for the next parcel or flush to carry.
+func (d *distState) flushAcks(node int, ps *peerState) {
+	if d.acksClosed.Load() || ps.dead.Load() {
+		return
+	}
+	n := ps.owed.Swap(0)
+	if n == 0 {
+		return
+	}
+	frame := binary.AppendUvarint(append(make([]byte, 0, 1+binary.MaxVarintLen64), fAck), n)
+	d.acksStandalone.Add(int64(n))
 	if err := d.sendRetry(node, frame); err != nil {
-		// The sender stays unreachable: its work unit for this parcel
-		// leaks and its Wait will block until the operator intervenes —
-		// parcels are not fault tolerant. Record for diagnosis.
-		d.rt.recordError(fmt.Errorf("core: ack to node %d: %w", node, err))
+		d.acksStandalone.Add(-int64(n))
+		d.returnReceipts(ps, n)
+		if !d.acksClosed.Load() {
+			d.rt.recordError(fmt.Errorf("core: receipts to node %d: %w", node, err))
+		}
+	}
+}
+
+// returnReceipts gives n receipts that failed to leave back to the peer's
+// owed count, unless the peer died meanwhile.
+func (d *distState) returnReceipts(ps *peerState, n uint64) {
+	if n == 0 || ps.dead.Load() {
+		return
+	}
+	if ps.owed.Add(n) == n {
+		ps.owedSince.Store(time.Now().UnixNano())
+	}
+}
+
+// flushAllAcks flushes the receipts owed to every peer. A probing or
+// departing node calls it so the machine's quiescence does not wait on its
+// flush timers.
+func (d *distState) flushAllAcks() {
+	for n, ps := range *d.peerTab.Load() {
+		if n != d.node && ps != nil && ps.owed.Load() != 0 {
+			d.flushAcks(n, ps)
+		}
+	}
+}
+
+// closeAcks stops the flush timers before the transport closes; receipts
+// still owed then are dropped with the connection.
+func (d *distState) closeAcks() {
+	d.acksClosed.Store(true)
+	for _, ps := range *d.peerTab.Load() {
+		if ps == nil {
+			continue
+		}
+		ps.mu.Lock()
+		if ps.ackTimer != nil {
+			ps.ackTimer.Stop()
+		}
+		ps.mu.Unlock()
 	}
 }
 
@@ -462,12 +603,26 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 		return
 	}
 	ps.outstanding++
+	// Every receipt owed to the peer rides this frame, so the flush timer
+	// guarding them has nothing left to carry: stop it. A timer left to
+	// fire would find nothing owed — or a newer receipt to wait for — and
+	// in call/reply traffic every call would pay for one such wake-up.
+	receipts := ps.owed.Swap(0)
+	disarmed := receipts > 0 && ps.ackArmed.Load() && ps.ackTimer != nil && ps.ackTimer.Stop()
 	ps.mu.Unlock()
+	if disarmed {
+		ps.ackArmed.Store(false)
+		// A receipt owed since the swap saw the timer still armed.
+		if ps.owed.Load() != 0 {
+			d.armAckFlush(node, ps, ackFlushDelay)
+		}
+	}
 	// The wire.send span is emitted before encoding so the trailer names
 	// it as the receiving hop's parent.
 	d.rt.emitSpan(trace.SpanWireSend, src, &p.Trace, p.Action)
 	w := parcel.GetWire()
 	w.B = append(w.B, fParcelI)
+	w.B = binary.AppendUvarint(w.B, receipts)
 	w.B = p.EncodeInterned(w.B, d.intern.our.Load())
 	d.internedSent.Add(1)
 	if !p.Trace.Zero() {
@@ -475,6 +630,7 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	}
 	d.sent.Add(1)
 	ps.sent.Add(1)
+	d.acksPiggybacked.Add(int64(receipts))
 	// Parcels ride the lane their destination hashes to; per-object order
 	// is the per-lane FIFO.
 	err := d.sendRetryLane(node, d.laneOf(p.Dest), w.B)
@@ -483,6 +639,8 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	// buffer once we're here.
 	parcel.PutWire(w)
 	if err != nil {
+		d.acksPiggybacked.Add(-int64(receipts))
+		d.returnReceipts(ps, receipts)
 		d.sent.Add(-1)
 		ps.sent.Add(-1)
 		// Undo the outstanding charge — unless a death raced in and
@@ -804,6 +962,9 @@ func (d *distState) probe() (allZero bool, sent, recv uint64, ok bool) {
 		d.drainMu.Unlock()
 	}()
 
+	// Peers count parcels this node has not yet acknowledged as pending:
+	// settle them before asking.
+	d.flushAllAcks()
 	probeFrame := make([]byte, 0, 9)
 	probeFrame = append(probeFrame, fDrain)
 	probeFrame = binary.LittleEndian.AppendUint64(probeFrame, seq)
@@ -909,6 +1070,7 @@ func (d *distState) waitGlobal() {
 // goodbye themselves are skipped — retrying into their closed listeners
 // would burn the whole dial budget for nothing.
 func (d *distState) goodbye() {
+	d.flushAllAcks()
 	sent, recv := d.liveTotals()
 	buf := make([]byte, 0, 17)
 	buf = append(buf, fGoodbye)

@@ -2,17 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/agas"
 )
 
-// FuzzDistControlDecoders feeds the distributed layer's hand-rolled
-// binary decoders — the migration frame header, moved verdicts, RPC
-// outcomes, drain replies, and handshake hellos — arbitrary bytes. They
-// consume untrusted socket data, so they must never panic, and any
-// accepted input must re-encode to a form that decodes identically.
 // manyActionNames builds n distinct action names for hello-table seeds.
 func manyActionNames(n int) []string {
 	names := make([]string, n)
@@ -22,6 +19,13 @@ func manyActionNames(n int) []string {
 	return names
 }
 
+// FuzzDistControlDecoders feeds the distributed layer's hand-rolled
+// binary decoders — the migration frame header, moved verdicts, RPC
+// outcomes, drain replies, handshake hellos, the fAck receipt count and
+// the parcel frame's receipt prefix — arbitrary bytes. They consume
+// untrusted socket data, so they must never panic, and any accepted input
+// must re-encode to a form that decodes identically. A receipt count of
+// any size must release at most the parcels outstanding.
 func FuzzDistControlDecoders(f *testing.F) {
 	g := agas.GID{Home: 3, Kind: agas.KindData, Seq: 99}
 	f.Add(encodeMigHeader(fMigrate, 7, g, 2, 5, 0))
@@ -45,7 +49,41 @@ func FuzzDistControlDecoders(f *testing.F) {
 	f.Add(encodeHello([]string{""}, &memberHello{node: 0, lo: 0, hi: 0, addr: ""}))
 	f.Add(encodeHello(nil, nil))
 	f.Add(hugeCountHello)
+	// Receipt counts: 0, 1, the largest uvarint, a truncated varint, a
+	// count larger than any outstanding total, and a parcel body behind
+	// its receipt prefix.
+	f.Add(binary.AppendUvarint(nil, 0))
+	f.Add(binary.AppendUvarint(nil, 1))
+	f.Add(binary.AppendUvarint(nil, math.MaxUint64))
+	f.Add([]byte{0x80})
+	f.Add(binary.AppendUvarint(nil, 1000))
+	f.Add(append(binary.AppendUvarint(nil, 2), 0x01, 0x02, 0x03))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Receipts: an accepted count re-encodes to a count that decodes
+		// identically, and settling it against 3 outstanding parcels
+		// releases min(count, 3).
+		if n, ok := decodeAckCount(data); ok {
+			if n2, ok2 := decodeAckCount(binary.AppendUvarint(nil, n)); !ok2 || n2 != n {
+				t.Fatalf("receipt count %d did not round trip", n)
+			}
+			ps := &peerState{outstanding: 3}
+			want := 3
+			if n < 3 {
+				want = int(n)
+			}
+			if k := ps.settle(n); k != want || ps.outstanding != 3-want {
+				t.Fatalf("receipt of %d released %d of 3, left %d outstanding", n, k, ps.outstanding)
+			}
+		}
+		if n, rest, ok := splitReceipts(data); ok {
+			if len(rest) >= len(data) {
+				t.Fatalf("receipt prefix consumed no bytes")
+			}
+			re := append(binary.AppendUvarint(nil, n), rest...)
+			if n2, rest2, ok2 := splitReceipts(re); !ok2 || n2 != n || !bytes.Equal(rest2, rest) {
+				t.Fatalf("receipt prefix %d did not round trip", n)
+			}
+		}
 		// Migration header: accepted inputs must survive a re-encode.
 		if xid, g, loc, gen, rest, ok := decodeMigHeader(data); ok {
 			re := append(encodeMigHeader(fMigrate, xid, g, loc, gen, len(rest)), rest...)

@@ -86,6 +86,52 @@ type peerState struct {
 
 	mu          sync.Mutex
 	outstanding int // parcels sent, not yet acked: work units held open
+
+	// owed counts receipts this node owes the peer for parcels it sent
+	// here. They ride the next parcel frame toward the peer, or a
+	// standalone cumulative fAck once none has carried them for
+	// ackFlushDelay (see distState.owe).
+	owed      atomic.Uint64
+	owedSince atomic.Int64 // wall-clock nanosecond owed last rose from 0
+	ackArmed  atomic.Bool  // the flush timer is pending
+	ackTimer  *time.Timer  // created on first arm; guarded by mu
+}
+
+// settle applies a cumulative receipt for n parcels and returns the
+// number of work units it frees: min(n, outstanding). A receipt from the
+// declared-dead frees nothing — the death released every unit charged to
+// the peer, and a straggling receipt must not release one twice.
+func (ps *peerState) settle(n uint64) int {
+	if n == 0 {
+		return 0
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.dead.Load() {
+		return 0
+	}
+	k := ps.outstanding
+	if n < uint64(k) {
+		k = int(n)
+	}
+	ps.outstanding -= k
+	return k
+}
+
+// bury marks the peer dead and returns the work units its outstanding
+// parcels held; receipts owed to it are dropped. ok is false when the peer
+// was already dead.
+func (ps *peerState) bury() (released int, ok bool) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.dead.Load() {
+		return 0, false
+	}
+	ps.dead.Store(true)
+	released = ps.outstanding
+	ps.outstanding = 0
+	ps.owed.Store(0)
+	return released, true
 }
 
 // detector returns the peer's phi detector, creating it on first use.
@@ -281,22 +327,14 @@ func (m *memberState) declareDead(n int, why string) {
 	if ps.departed.Load() {
 		return
 	}
-	ps.mu.Lock()
-	if ps.dead.Load() {
-		ps.mu.Unlock()
+	released, ok := ps.bury()
+	if !ok {
 		return
 	}
-	ps.dead.Store(true)
-	released := ps.outstanding
-	ps.outstanding = 0
-	ps.mu.Unlock()
-
 	released += d.dropPendTo(n)
 	m.deaths.Add(1)
 	m.released.Add(uint64(released))
-	for i := 0; i < released; i++ {
-		d.rt.doneWork()
-	}
+	d.rt.doneWorkN(released)
 	if ev, ok := d.lmap.MarkDead(n); ok {
 		m.rehomes.Add(uint64(len(ev.Moved)))
 	}
@@ -333,20 +371,13 @@ func (m *memberState) excommunicate() {
 		if ps == nil {
 			continue
 		}
-		ps.mu.Lock()
-		if ps.dead.Load() {
-			ps.mu.Unlock()
+		released, ok := ps.bury()
+		if !ok {
 			continue
 		}
-		ps.dead.Store(true)
-		released := ps.outstanding
-		ps.outstanding = 0
-		ps.mu.Unlock()
 		released += d.dropPendTo(n)
 		m.released.Add(uint64(released))
-		for i := 0; i < released; i++ {
-			d.rt.doneWork()
-		}
+		d.rt.doneWorkN(released)
 		d.rt.failLostWaiters(n)
 	}
 	d.rt.recordError(fmt.Errorf("core: this node was declared dead by the machine: %w", agas.ErrNodeLost))

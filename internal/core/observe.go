@@ -192,6 +192,8 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 		reg.RegisterFunc("px.wire.recv", d.recv.Load)
 		reg.RegisterFunc("px.wire.interned_sent", func() int64 { return int64(d.internedSent.Load()) })
 		reg.RegisterFunc("px.wire.interned_recv", func() int64 { return int64(d.internedRecv.Load()) })
+		reg.RegisterFunc("px.wire.acks_piggybacked", d.acksPiggybacked.Load)
+		reg.RegisterFunc("px.wire.acks_standalone", d.acksStandalone.Load)
 		reg.RegisterFunc("px.lco.trigger.sent", func() int64 { return int64(d.lco.sent.Load()) })
 		reg.RegisterFunc("px.lco.trigger.recv", func() int64 { return int64(d.lco.recv.Load()) })
 		reg.RegisterFunc("px.lco.trigger.retried", func() int64 { return int64(d.lco.retried.Load()) })

@@ -516,8 +516,12 @@ func (r *Runtime) IdleFractions() []float64 {
 // parcel). Quiescence is reached when the count returns to zero.
 func (r *Runtime) addWork() { r.pending.Add(1) }
 
-func (r *Runtime) doneWork() {
-	if r.pending.Add(-1) == 0 {
+func (r *Runtime) doneWork() { r.doneWorkN(1) }
+
+// doneWorkN releases n units of work at once (a cumulative receipt, or a
+// dead peer's outstanding parcels).
+func (r *Runtime) doneWorkN(n int) {
+	if n > 0 && r.pending.Add(-int64(n)) == 0 {
 		r.quiet.Lock()
 		r.quietC.Broadcast()
 		r.quiet.Unlock()
@@ -567,6 +571,7 @@ func (r *Runtime) Shutdown() {
 		}
 		r.dist.goodbye()
 		r.dist.stopLCO()
+		r.dist.closeAcks()
 		r.dist.tr.Close()
 	}
 	for i := range r.locs {
@@ -594,6 +599,7 @@ func (r *Runtime) Terminate() {
 			r.dist.mb.stopLoop()
 		}
 		r.dist.stopLCO()
+		r.dist.closeAcks()
 		r.dist.tr.Close()
 	}
 	for i := range r.locs {

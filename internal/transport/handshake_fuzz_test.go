@@ -39,6 +39,9 @@ func FuzzLaneHandshake(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0))              // wrong magic
 	f.Add(hsHeader(hsVersion, 1, 0, 2, []byte("hello"), 0)[:25]) // truncated inside the hello
 	f.Add(hsHeader(hsVersion-1, 1, 0, 2, nil, 0))                // older version
+	f.Add(hsHeader(4, 1, 0, 2, []byte("hello"), 0))              // v4: per-parcel receipts
+	f.Add(hsHeader(6, 1, 0, 2, []byte("hello"), 0))              // v6: not yet defined
+	f.Add(hsHeader(5, 1, 0, 2, []byte("hello"), 0))              // v5: cumulative receipts
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Fresh state per input keeps crashers self-contained: growPeers

@@ -465,7 +465,7 @@ func (t *TCP) Start() error {
 // announcement is rejected before it can cross-wire two peers.
 const (
 	hsMagic    = 0x50585450 // "PXTP"
-	hsVersion  = 4
+	hsVersion  = 5
 	hsHeadSize = 4 + 2 + 4 + 4 + 4 // magic..range
 )
 

@@ -412,7 +412,7 @@ func TestTCPRejectsOtherHandshakeVersion(t *testing.T) {
 		_, err = io.ReadFull(conn, make([]byte, hsHeadSize))
 		return err
 	}
-	for _, v := range []uint16{3, 5} {
+	for _, v := range []uint16{4, 6} {
 		if err := dial(v, "from-another-version"); err == nil {
 			t.Fatalf("version %d handshake answered, want the connection refused", v)
 		}
